@@ -55,10 +55,6 @@
 #include "telemetry/hist.hpp"
 #include "telemetry/trace.hpp"
 
-namespace cod::net {
-class AsyncTransport;
-}  // namespace cod::net
-
 namespace cod::core {
 
 /// Base class for the paper's Logical Processes. Derive, override
@@ -237,20 +233,10 @@ class CommunicationBackbone {
     /// byte-identical to a trace-free build.
     std::uint32_t traceSampleEvery = 0;
     /// Tick-phase profiler: time each tick's poll/decode, route, timer,
-    /// stage and flush phases into phaseHistograms(), shipped as
-    /// telemetry wire v5. Off (the default) costs nothing — no clock
-    /// reads — and keeps the telemetry record on the v4 layout,
-    /// byte-identical to an unprofiled build.
+    /// stage and flush phases into phaseHistograms(), shipped as the
+    /// telemetry record's optional phase block. Off (the default) costs
+    /// nothing — no clock reads — and the record carries no phase block.
     bool phaseProfile = false;
-    /// Async threaded network engine (net/engine.hpp): wrap the transport
-    /// in an AsyncTransport so socket recv/send run on dedicated threads
-    /// with lock-free rings to/from the tick thread, and syscalls batch
-    /// (recvmmsg/sendmmsg on UDP). Off (the default) keeps the seed's
-    /// single-threaded transport path, byte-identical on the wire; on,
-    /// datagram CONTENT is identical but ordering across peers can
-    /// interleave with tick boundaries. Engine health counters ship as
-    /// telemetry wire v6.
-    bool asyncNet = false;
   };
 
   /// `transport` is this computer's socket; by convention every CB of a
@@ -375,13 +361,13 @@ class CommunicationBackbone {
   /// Table sizes of one shard, for balance checks in tests and tooling.
   CbShardLoad shardLoad(std::uint32_t shard) const;
 
-  /// Latency/size histograms this CB maintains (telemetry record v3):
-  /// delivery latency of sampled reliable updates, tick duration, flush
-  /// sizes and retransmit delay.
+  /// Latency/size histograms this CB maintains (the telemetry record's
+  /// histogram block): delivery latency of sampled reliable updates, tick
+  /// duration, flush sizes and retransmit delay.
   const telemetry::CbHistograms& histograms() const { return hists_; }
 
-  /// Per-phase tick histograms (telemetry record v5). All-zero unless
-  /// Config::phaseProfile.
+  /// Per-phase tick histograms (the telemetry record's phase block).
+  /// All-zero unless Config::phaseProfile.
   const telemetry::TickPhaseHistograms& phaseHistograms() const {
     return phaseHists_;
   }
@@ -580,13 +566,6 @@ class CommunicationBackbone {
   std::size_t stagedFrameCount_ = 0;
   /// Reusable span list for scatter-gather flushes.
   std::vector<net::ByteSpan> iovScratch_;
-  /// The async engine when Config::asyncNet (owned via transport_; this
-  /// is a borrowed view for engine-stat snapshots). Null when sync.
-  net::AsyncTransport* asyncEngine_ = nullptr;
-
- public:
-  /// Engine view for telemetry (null unless Config::asyncNet).
-  net::AsyncTransport* asyncEngine() const { return asyncEngine_; }
 };
 
 }  // namespace cod::core

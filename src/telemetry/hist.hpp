@@ -1,6 +1,6 @@
 // Log-bucketed HDR-style histograms for the latency/size observables the
-// telemetry record exports (wire v3): delivery latency, tick duration,
-// flush size and retransmit delay.
+// telemetry record exports: delivery latency, tick duration, flush size
+// and retransmit delay.
 //
 // A LogHistogram buckets values geometrically — 4 sub-buckets per octave,
 // kHistBuckets buckets total — above a per-histogram lowest bound, so a
@@ -26,8 +26,8 @@
 namespace cod::telemetry {
 
 /// Bucket count of every histogram on the wire and in memory. Fixed so
-/// the v3 telemetry block has one layout; 96 buckets at 4 per octave span
-/// 24 octaves (~1.7e7x) above the lowest bound.
+/// the telemetry histogram block has one layout; 96 buckets at 4 per
+/// octave span 24 octaves (~1.7e7x) above the lowest bound.
 inline constexpr std::size_t kHistBuckets = 96;
 
 /// Sub-buckets per octave (power of two ratio 2^(1/4) between bucket
@@ -87,7 +87,7 @@ class LogHistogram {
 };
 
 /// The CB's histogram set, one instance per CommunicationBackbone,
-/// exported in the v3 telemetry record in this fixed order (append-only,
+/// exported in the telemetry record in this fixed order (append-only,
 /// like the counter table — decoders key on index).
 struct CbHistograms {
   /// Publish -> in-order-release latency of sampled reliable updates, as
@@ -117,7 +117,7 @@ struct CbHistograms {
 };
 
 /// The measured phases one CommunicationBackbone::tick splits into when
-/// Config::phaseProfile is on. Fixed wire order (telemetry v5 phase
+/// Config::phaseProfile is on. Fixed wire order (telemetry phase
 /// block) — append-only, like the counter table.
 enum class TickPhase : std::size_t {
   kPollDecode = 0,  // transport receive loop minus routing time
@@ -131,7 +131,7 @@ inline constexpr std::size_t kTickPhaseCount = 5;
 
 /// Per-phase wall-clock histograms, one set per CommunicationBackbone.
 /// All share one lowest bound (phases are all sub-tick durations) so the
-/// v5 phase block needs no per-phase bound on the wire.
+/// phase block needs no per-phase bound on the wire.
 struct TickPhaseHistograms {
   static constexpr double kLowest = 1e-7;
 

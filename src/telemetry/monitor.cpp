@@ -276,7 +276,7 @@ void HealthMonitor::deriveRates(NodeState& st, const NodeTelemetry& prev,
 
   // Per-phase interval p99s and the hot phase (where the interval's tick
   // time actually went — judged by summed duration, not p99, so one
-  // outlier doesn't crown a quiet phase) from the v5 phase block.
+  // outlier doesn't crown a quiet phase) from the phase block.
   h.phaseP99Ms.fill(0.0);
   h.hotPhase = -1;
   if (cur.phaseProfiling) {
@@ -543,9 +543,9 @@ std::string HealthMonitor::renderTable() const {
   // loss% is transport frame accounting (0 on real sockets), rloss% the
   // reliable-layer estimate — side by side so an operator sees at once
   // which observable their deployment actually has. p99ms is the interval
-  // delivery-latency p99 from the v3 histogram block (0.0 until sampled
+  // delivery-latency p99 from the histogram block (0.0 until sampled
   // updates flow). The hot column (the phase most interval tick time went
-  // to, v5 phase block) appears only when some node runs the profiler.
+  // to, phase block) appears only when some node runs the profiler.
   //
   // Column widths are computed from content: a long node name widens its
   // column instead of shearing every figure out of alignment.
@@ -639,7 +639,7 @@ std::string HealthMonitor::renderTable() const {
   for (const auto& [name, st] : nodes_) {
     const NodeHealth& h = st.health;
     out += renderRow(rows[rowIdx++]);
-    // Shard-balance line: per-shard routing-table entries from the v3
+    // Shard-balance line: per-shard routing-table entries from the
     // shard-load block, so a skewed class→shard hash shows up in the
     // health table instead of only in tests. Single-shard nodes have
     // nothing to balance.

@@ -87,9 +87,7 @@ constexpr std::array kCounterFields{
 #undef COD_COUNTER
 
 constexpr std::uint8_t kFlagDelta = 0x01;
-/// v6 only: the tick-phase block is present. In v4/v5 phase presence is
-/// implied by the version byte; v6 (async engine on) must carry either
-/// combination of engine + phases, so phases became a flag there.
+/// The tick-phase block is present (appended after the shard-load block).
 constexpr std::uint8_t kFlagPhases = 0x02;
 
 /// Channel flags byte: direction, QoS and liveness packed together.
@@ -99,17 +97,8 @@ constexpr std::uint8_t kChanLive = 0x04;
 
 void encodeHeader(net::WireWriter& w, const NodeTelemetry& t,
                   std::uint8_t flags) {
-  // The phase-profiler block is the only v4 -> v5 delta, so a record
-  // without phase data IS a v4 record — byte-identical to what a v4
-  // encoder emits. An async-engine node emits v6 (engine block at the
-  // end, phase block flagged). Mixed clusters interop as long as
-  // profiling/async nodes' monitors are current.
-  if (t.asyncNet) {
-    w.u8(kTelemetryVersionAsync);
-    if (t.phaseProfiling) flags |= kFlagPhases;
-  } else {
-    w.u8(t.phaseProfiling ? kTelemetryVersion : kTelemetryVersionPhaseless);
-  }
+  if (t.phaseProfiling) flags |= kFlagPhases;
+  w.u8(kTelemetryVersion);
   w.u8(flags);
   w.u64(t.seq);
   w.str(t.node);
@@ -138,7 +127,7 @@ void encodeChannels(net::WireWriter& w, const NodeTelemetry& t) {
   }
 }
 
-// ---- v3 histogram block --------------------------------------------------
+// ---- histogram block ------------------------------------------------------
 //
 // Per histogram: the scalar summary in full, then the bucket array as a
 // sparse (index, count) list — most of the 96 buckets of a log histogram
@@ -214,10 +203,10 @@ bool decodeHistograms(net::WireReader& r, NodeTelemetry& t,
   return true;
 }
 
-// ---- v5 tick-phase block -------------------------------------------------
+// ---- tick-phase block ----------------------------------------------------
 //
-// Same sparse layout as the v3 histogram block, kTickPhaseCount entries
-// in TickPhase order. Present iff the record's version byte is 5.
+// Same sparse layout as the histogram block, kTickPhaseCount entries in
+// TickPhase order. Present iff the record's header sets kFlagPhases.
 
 void encodePhases(net::WireWriter& w, const NodeTelemetry& t,
                   const NodeTelemetry* base) {
@@ -230,7 +219,7 @@ void encodePhases(net::WireWriter& w, const NodeTelemetry& t,
 bool decodePhases(net::WireReader& r, NodeTelemetry& t,
                   const NodeTelemetry* base) {
   const auto count = r.u16();
-  // v5 defines the phase set exactly, like the v3 histogram set.
+  // The version defines the phase set exactly, like the histogram set.
   if (!count || *count != kTickPhaseCount) return false;
   for (std::size_t i = 0; i < kTickPhaseCount; ++i) {
     if (!decodeHistogram(r, t.phases[i],
@@ -240,7 +229,7 @@ bool decodePhases(net::WireReader& r, NodeTelemetry& t,
   return true;
 }
 
-// ---- v3 shard-load block -------------------------------------------------
+// ---- shard-load block ----------------------------------------------------
 
 void encodeShardLoad(net::WireWriter& w, const NodeTelemetry& t) {
   w.u16(static_cast<std::uint16_t>(
@@ -267,29 +256,6 @@ bool decodeShardLoad(net::WireReader& r, NodeTelemetry& t) {
     const auto outCh = r.u32();
     if (!pubs || !subs || !inCh || !outCh) return false;
     t.shardLoad.push_back(core::CbShardLoad{*pubs, *subs, *inCh, *outCh});
-  }
-  return true;
-}
-
-// ---- v6 async-engine block -----------------------------------------------
-//
-// [u16 count][u64 x count] in net::engineCounterName order, always in
-// full — nine words is cheaper than delta bookkeeping. Present iff the
-// version byte is 6, always at the very end of the record.
-
-void encodeEngine(net::WireWriter& w, const NodeTelemetry& t) {
-  w.u16(static_cast<std::uint16_t>(net::kEngineCounterCount));
-  for (std::size_t i = 0; i < net::kEngineCounterCount; ++i) w.u64(t.engine[i]);
-}
-
-bool decodeEngine(net::WireReader& r, NodeTelemetry& t) {
-  const auto count = r.u16();
-  // v6 defines the engine counter set exactly, like the counter table.
-  if (!count || *count != net::kEngineCounterCount) return false;
-  for (std::size_t i = 0; i < net::kEngineCounterCount; ++i) {
-    const auto v = r.u64();
-    if (!v) return false;
-    t.engine[i] = *v;
   }
   return true;
 }
@@ -325,6 +291,36 @@ bool decodeChannels(net::WireReader& r, NodeTelemetry& t) {
   return true;
 }
 
+/// The one version/flag check, shared by peekTelemetryHeader and
+/// decodeTelemetry: reads the identity header (and the base sequence of
+/// a delta) and hands back the flag byte. Nullopt on a foreign version,
+/// an unknown flag bit or truncation.
+std::optional<TelemetryHeader> readHeader(net::WireReader& r,
+                                          std::uint8_t& flags) {
+  const auto version = r.u8();
+  const auto f = r.u8();
+  if (!version || !f || *version != kTelemetryVersion) return std::nullopt;
+  if ((*f & ~(kFlagDelta | kFlagPhases)) != 0) return std::nullopt;
+  flags = *f;
+  const auto seq = r.u64();
+  auto node = r.str();
+  const auto host = r.u32();
+  const auto port = r.u16();
+  const auto time = r.f64();
+  if (!seq || !node || !host || !port || !time) return std::nullopt;
+  TelemetryHeader h;
+  h.seq = *seq;
+  h.node = std::move(*node);
+  h.addr = {*host, *port};
+  h.nodeTimeSec = *time;
+  if ((flags & kFlagDelta) != 0) {
+    const auto baseSeq = r.u64();
+    if (!baseSeq) return std::nullopt;
+    h.baseSeq = *baseSeq;
+  }
+  return h;
+}
+
 }  // namespace
 
 std::size_t counterCount() { return kCounterFields.size(); }
@@ -352,7 +348,6 @@ std::vector<std::uint8_t> encodeTelemetry(const NodeTelemetry& t) {
   encodeHistograms(w, t, nullptr);
   encodeShardLoad(w, t);
   if (t.phaseProfiling) encodePhases(w, t, nullptr);
-  if (t.asyncNet) encodeEngine(w, t);
   return w.take();
 }
 
@@ -374,78 +369,34 @@ std::vector<std::uint8_t> encodeTelemetryDelta(const NodeTelemetry& t,
   encodeHistograms(w, t, &base);
   encodeShardLoad(w, t);
   if (t.phaseProfiling) encodePhases(w, t, &base);
-  if (t.asyncNet) encodeEngine(w, t);
   return w.take();
 }
 
 std::optional<TelemetryHeader> peekTelemetryHeader(
     std::span<const std::uint8_t> bytes) {
   net::WireReader r(bytes);
-  const auto version = r.u8();
-  const auto flags = r.u8();
-  if (!version || !flags) return std::nullopt;
-  if (*version != kTelemetryVersion &&
-      *version != kTelemetryVersionPhaseless &&
-      *version != kTelemetryVersionAsync)
-    return std::nullopt;
-  const std::uint8_t known = *version == kTelemetryVersionAsync
-                                 ? (kFlagDelta | kFlagPhases)
-                                 : kFlagDelta;
-  if ((*flags & ~known) != 0) return std::nullopt;
-  const auto seq = r.u64();
-  auto node = r.str();
-  const auto host = r.u32();
-  const auto port = r.u16();
-  const auto time = r.f64();
-  if (!seq || !node || !host || !port || !time) return std::nullopt;
-  TelemetryHeader h;
-  h.seq = *seq;
-  h.node = std::move(*node);
-  h.addr = {*host, *port};
-  h.nodeTimeSec = *time;
-  if ((*flags & kFlagDelta) != 0) {
-    const auto baseSeq = r.u64();
-    if (!baseSeq) return std::nullopt;
-    h.baseSeq = *baseSeq;
-  }
-  return h;
+  std::uint8_t flags = 0;
+  return readHeader(r, flags);
 }
 
 std::optional<NodeTelemetry> decodeTelemetry(
     std::span<const std::uint8_t> bytes, const NodeTelemetry* base) {
   net::WireReader r(bytes);
-  const auto version = r.u8();
-  const auto flags = r.u8();
-  if (!version || !flags) return std::nullopt;
-  if (*version != kTelemetryVersion &&
-      *version != kTelemetryVersionPhaseless &&
-      *version != kTelemetryVersionAsync)
-    return std::nullopt;
-  const bool async = *version == kTelemetryVersionAsync;
-  if ((*flags & ~(async ? (kFlagDelta | kFlagPhases) : kFlagDelta)) != 0)
-    return std::nullopt;
-  const bool delta = (*flags & kFlagDelta) != 0;
-  const bool hasPhases = async ? (*flags & kFlagPhases) != 0
-                               : *version == kTelemetryVersion;
+  std::uint8_t flags = 0;
+  auto h = readHeader(r, flags);
+  if (!h) return std::nullopt;
+  const bool delta = h->baseSeq.has_value();
 
   NodeTelemetry t;
-  const auto seq = r.u64();
-  auto node = r.str();
-  const auto host = r.u32();
-  const auto port = r.u16();
-  const auto time = r.f64();
-  if (!seq || !node || !host || !port || !time) return std::nullopt;
-  t.seq = *seq;
-  t.node = std::move(*node);
-  t.addr = {*host, *port};
-  t.nodeTimeSec = *time;
+  t.seq = h->seq;
+  t.node = std::move(h->node);
+  t.addr = h->addr;
+  t.nodeTimeSec = h->nodeTimeSec;
 
   if (delta) {
-    const auto baseSeq = r.u64();
-    if (!baseSeq) return std::nullopt;
     // A delta without its base is undecodable by construction — the
     // monitor waits for the next keyframe rather than inventing counters.
-    if (base == nullptr || base->seq != *baseSeq) return std::nullopt;
+    if (base == nullptr || base->seq != *h->baseSeq) return std::nullopt;
     t.cb = base->cb;
     t.transport = base->transport;
     const auto changed = r.u16();
@@ -459,8 +410,8 @@ std::optional<NodeTelemetry> decodeTelemetry(
     }
   } else {
     const auto count = r.u16();
-    // Version 1 defines the counter table exactly; a keyframe claiming a
-    // different size is from no encoder of this version.
+    // The version defines the counter table exactly; a keyframe claiming
+    // a different size is from no encoder of this version.
     if (!count || *count != kCounterFields.size()) return std::nullopt;
     for (std::size_t i = 0; i < kCounterFields.size(); ++i) {
       const auto value = r.u64();
@@ -472,13 +423,9 @@ std::optional<NodeTelemetry> decodeTelemetry(
   if (!decodeChannels(r, t)) return std::nullopt;
   if (!decodeHistograms(r, t, delta ? base : nullptr)) return std::nullopt;
   if (!decodeShardLoad(r, t)) return std::nullopt;
-  if (hasPhases) {
+  if ((flags & kFlagPhases) != 0) {
     t.phaseProfiling = true;
     if (!decodePhases(r, t, delta ? base : nullptr)) return std::nullopt;
-  }
-  if (async) {
-    t.asyncNet = true;
-    if (!decodeEngine(r, t)) return std::nullopt;
   }
   // Trailing bytes mean corruption (or a newer, larger format lying about
   // its version): reject wholesale.

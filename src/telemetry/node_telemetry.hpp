@@ -29,41 +29,18 @@
 #include <vector>
 
 #include "core/cb.hpp"
-#include "net/engine.hpp"
 #include "net/transport.hpp"
 #include "telemetry/hist.hpp"
 
 namespace cod::telemetry {
 
-/// Wire-format version, first byte of every record. Decoders reject
-/// anything else (a mixed-version cluster must fail loudly, not
-/// misinterpret counters).
-/// v2: reliable.dataFramesSent joined the counter table (the sender-side
-/// denominator of the real-socket loss estimate).
-/// v3: histogram block (delivery latency, tick duration, flush size,
-/// retransmit delay — sparse buckets, delta-encoded like the counters)
-/// and the per-shard load block appended after the channel list.
-/// v4: flow-control counters joined the table — cb.updatesThinned,
-/// reliable.{updatesBlocked, degradeSkipsSent, windowSplits,
-/// windowMerges, peerDuplicatesReported} and batch.adaptiveFlushes.
-/// v5: tick-phase profiler block (kTickPhaseCount sparse histograms,
-/// same encoding as the v3 block) appended after the shard-load block.
-/// A node with the profiler OFF (`Config::phaseProfile == false`, the
-/// default) still emits version 4 — byte-identical to a v4 peer — so v5
-/// is only on the wire when there is phase data to carry. Decoders
-/// accept both.
-/// v6: async-engine block (net/engine.hpp ring/syscall counters,
-/// [u16 count][u64 x count], always in full) appended at the very end.
-/// Emitted only by nodes running `Config::asyncNet`; since such a node
-/// may or may not also profile phases, v6 is the one layout whose phase
-/// block is flagged (kFlagPhases) rather than implied by the version
-/// byte. Sync nodes keep emitting v4/v5 exactly as before.
-inline constexpr std::uint8_t kTelemetryVersion = 5;
-/// The version emitted (and still accepted) when the phase profiler is
-/// off: the v4 layout, unchanged.
-inline constexpr std::uint8_t kTelemetryVersionPhaseless = 4;
-/// The version emitted when the async network engine is on (see above).
-inline constexpr std::uint8_t kTelemetryVersionAsync = 6;
+/// Wire-format version, first byte of every record. Decoders accept this
+/// value only, so a mixed-version cluster or an old archive fails loudly
+/// instead of misinterpreting counters; docs/WIRE.md keeps the history of
+/// versions 1-6. The second byte is a flag set (0x01 delta, 0x02 phase
+/// block present); any other bit is rejected. Without the phase block a
+/// record is as long as a v4 record of the same snapshot.
+inline constexpr std::uint8_t kTelemetryVersion = 7;
 
 /// Reserved object class the publishers publish on and monitors subscribe
 /// to — "cod." prefixed so no simulator module class can collide.
@@ -90,19 +67,12 @@ struct NodeTelemetry {
   /// shape — the shard count — must not be guessed from a diff).
   std::vector<core::CbShardLoad> shardLoad;
   /// True when this node runs the tick-phase profiler: `phases` is
-  /// meaningful and the record encodes as wire v5. False encodes the
-  /// exact v4 bytes (phase block absent), keeping profiler-off nodes
-  /// byte-identical to v4 peers.
+  /// meaningful and the record carries the flagged phase block. False
+  /// leaves the block (and its flag) out.
   bool phaseProfiling = false;
   /// Cumulative per-phase tick histograms, indexed like
   /// TickPhaseHistograms::at(). All-zero unless `phaseProfiling`.
   std::array<HistogramSnapshot, kTickPhaseCount> phases{};
-  /// True when this node runs the async network engine: `engine` is
-  /// meaningful and the record encodes as wire v6 (phase block flagged).
-  bool asyncNet = false;
-  /// Engine ring/syscall counters in net::engineCounterName order.
-  /// All-zero unless `asyncNet`.
-  std::array<std::uint64_t, net::kEngineCounterCount> engine{};
 };
 
 /// The flattened counter table: every std::uint64_t in CbStats (with its

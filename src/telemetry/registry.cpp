@@ -17,15 +17,9 @@ NodeTelemetry StatRegistry::snapshot(double now) {
   for (std::size_t i = 0; i < cb_->shardCount(); ++i)
     t.shardLoad.push_back(cb_->shardLoad(static_cast<std::uint32_t>(i)));
   if (cb_->config().phaseProfile) {
-    t.phaseProfiling = true;  // record encodes as wire v5 (v6 if async)
+    t.phaseProfiling = true;  // record carries the flagged phase block
     for (std::size_t i = 0; i < kTickPhaseCount; ++i)
       t.phases[i] = cb_->phaseHistograms().at(i).snapshot();
-  }
-  if (const net::AsyncTransport* eng = cb_->asyncEngine()) {
-    t.asyncNet = true;  // record encodes as wire v6
-    const net::AsyncEngineStats es = eng->engineStats();
-    for (std::size_t i = 0; i < net::kEngineCounterCount; ++i)
-      t.engine[i] = net::engineCounterValue(es, i);
   }
   return t;
 }

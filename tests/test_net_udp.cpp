@@ -94,5 +94,50 @@ TEST(UdpTransport, StatsCount) {
   EXPECT_EQ(b.stats()->framesReceived, 1u);
 }
 
+TEST(UdpTransport, SendvGathersToOneDatagram) {
+  // A scatter-gather send must land as ONE datagram whose payload is the
+  // concatenation of the parts, on both sides of UdpTransport's 64-iovec
+  // sendmsg path: past it, sendv falls back to the gather-copy path (a
+  // kBatch container of many small heartbeats gets there). Each part
+  // list opens with a container header, as the batch flush's does, so
+  // the frame count must match too.
+  const UdpConfig cfg = testConfig();
+  UdpTransport a(cfg, 0, 2);
+  UdpTransport b(cfg, 1, 2);
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t frames = 0;
+  for (const std::size_t frameParts : {2u, 63u, 64u, 65u, 300u}) {
+    const std::uint8_t header[3] = {
+        10, static_cast<std::uint8_t>(frameParts & 0xFF),
+        static_cast<std::uint8_t>(frameParts >> 8)};
+    std::vector<std::vector<std::uint8_t>> chunks;
+    for (std::size_t i = 0; i < frameParts; ++i) {
+      std::vector<std::uint8_t> c;
+      for (std::size_t j = 0; j <= i % 7; ++j)
+        c.push_back(static_cast<std::uint8_t>(i * 31 + j));
+      chunks.push_back(std::move(c));
+    }
+    std::vector<ByteSpan> parts{ByteSpan{header}};
+    std::vector<std::uint8_t> linear(header, header + 3);
+    for (const auto& c : chunks) {
+      parts.emplace_back(c);
+      linear.insert(linear.end(), c.begin(), c.end());
+    }
+    a.sendv({1, 2}, parts);
+    const auto d = receiveWithRetry(b);
+    ASSERT_TRUE(d.has_value()) << parts.size() << " parts";
+    EXPECT_EQ(d->payload, linear) << parts.size() << " parts";
+    EXPECT_FALSE(b.receive().has_value())
+        << "sendv of " << parts.size() << " parts split into >1 datagram";
+    ++packets;
+    bytes += linear.size();
+    frames += frameParts;
+    EXPECT_EQ(a.stats()->packetsSent, packets) << parts.size() << " parts";
+    EXPECT_EQ(a.stats()->bytesSent, bytes) << parts.size() << " parts";
+    EXPECT_EQ(a.stats()->framesSent, frames) << parts.size() << " parts";
+  }
+}
+
 }  // namespace
 }  // namespace cod::net
