@@ -8,9 +8,9 @@ namespace cod::core {
 
 namespace {
 
-/// Sorted snapshot of an index's keys — the facade's ordering primitive:
-/// handles and channel ids ascend in creation order, so a sorted key walk
-/// reproduces the pre-shard wire order whatever the shard count.
+/// Sorted snapshot of a hash table's keys — the ordering primitive of
+/// every wire-order-sensitive walk: handles ascend in creation order, so a
+/// sorted key walk emits in creation order whatever the hash layout.
 template <typename Map>
 std::vector<typename Map::key_type> sortedKeys(const Map& m) {
   std::vector<typename Map::key_type> keys;
@@ -31,10 +31,6 @@ CommunicationBackbone::CommunicationBackbone(
     : name_(std::move(name)), transport_(std::move(transport)), cfg_(cfg) {
   if (!transport_)
     throw std::invalid_argument("CommunicationBackbone: null transport");
-  const std::uint32_t n = std::max<std::uint32_t>(1, cfg_.shards);
-  shards_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    shards_.push_back(std::make_unique<CbShard>(*this, i));
   if (cfg_.trace != nullptr) traceLane_ = cfg_.trace->registerLane(name_);
 }
 
@@ -307,126 +303,18 @@ void CommunicationBackbone::detach(LogicalProcess& lp) {
   if (lp.cb_ != this) return;
   // Resign every registration owned by this LP.
   std::vector<PublicationHandle> pubs;
-  for (const auto& [h, s] : pubShard_)
-    if (shards_[s]->publication(h)->lp == lp.id_) pubs.push_back(h);
+  for (const auto& [h, pub] : publications_)
+    if (pub.lp == lp.id_) pubs.push_back(h);
   std::sort(pubs.begin(), pubs.end());
   for (const PublicationHandle h : pubs) unpublish(h);
   std::vector<SubscriptionHandle> subs;
-  for (const auto& [h, s] : subShard_)
-    if (shards_[s]->subscription(h)->lp == lp.id_) subs.push_back(h);
+  for (const auto& [h, sub] : subscriptions_)
+    if (sub.lp == lp.id_) subs.push_back(h);
   std::sort(subs.begin(), subs.end());
   for (const SubscriptionHandle h : subs) unsubscribe(h);
   lps_.erase(lp.id_);
   lp.cb_ = nullptr;
   lp.id_ = 0;
-}
-
-PublicationEntry* CommunicationBackbone::findPublication(PublicationHandle h) {
-  const auto it = pubShard_.find(h);
-  return it == pubShard_.end() ? nullptr : shards_[it->second]->publication(h);
-}
-
-const PublicationEntry* CommunicationBackbone::findPublication(
-    PublicationHandle h) const {
-  const auto it = pubShard_.find(h);
-  return it == pubShard_.end() ? nullptr : shards_[it->second]->publication(h);
-}
-
-SubscriptionEntry* CommunicationBackbone::findSubscription(
-    SubscriptionHandle h) {
-  const auto it = subShard_.find(h);
-  return it == subShard_.end() ? nullptr : shards_[it->second]->subscription(h);
-}
-
-const SubscriptionEntry* CommunicationBackbone::findSubscription(
-    SubscriptionHandle h) const {
-  const auto it = subShard_.find(h);
-  return it == subShard_.end() ? nullptr : shards_[it->second]->subscription(h);
-}
-
-void CommunicationBackbone::registerInChannel(std::uint32_t channelId,
-                                              std::uint32_t shard) {
-  inChannelShard_[channelId] = shard;
-}
-
-void CommunicationBackbone::unregisterInChannel(std::uint32_t channelId) {
-  inChannelShard_.erase(channelId);
-}
-
-void CommunicationBackbone::registerOutChannel(const net::NodeAddr& remote,
-                                               std::uint32_t remoteChannelId,
-                                               std::uint32_t shard,
-                                               PublicationHandle pub) {
-  // Assignment, not emplace: a restarted subscriber may reuse a channel
-  // id against a different publication while the stale channel rides out
-  // its timeout — the newest registration wins the route.
-  outChannelIndex_[{remote, remoteChannelId}] = {shard, pub};
-}
-
-void CommunicationBackbone::unregisterOutChannel(const net::NodeAddr& remote,
-                                                 std::uint32_t remoteChannelId,
-                                                 PublicationHandle pub) {
-  const auto it = outChannelIndex_.find({remote, remoteChannelId});
-  // Guarded erase: if the id was re-registered to a newer publication
-  // (see registerOutChannel), the stale channel's teardown must not drop
-  // the live route.
-  if (it != outChannelIndex_.end() && it->second.second == pub)
-    outChannelIndex_.erase(it);
-}
-
-PublicationHandle CommunicationBackbone::publishObjectClass(
-    LogicalProcess& lp, const std::string& className, net::QosClass qos) {
-  if (lp.cb_ != this) attach(lp);
-  PublicationEntry e;
-  e.id = nextHandle_++;
-  e.lp = lp.id_;
-  e.className = className;
-  e.qos = qos;
-  const PublicationHandle h = e.id;
-  const std::uint32_t s = shardOf(className);
-  pubShard_.emplace(h, s);
-  shards_[s]->addPublication(std::move(e));
-  return h;
-}
-
-SubscriptionHandle CommunicationBackbone::subscribeObjectClass(
-    LogicalProcess& lp, const std::string& className, net::QosClass qos) {
-  if (lp.cb_ != this) attach(lp);
-  SubscriptionEntry e;
-  e.id = nextHandle_++;
-  e.lp = lp.id_;
-  e.className = className;
-  e.qos = qos;
-  e.nextBroadcast = now_;  // start discovery on the next tick
-  const SubscriptionHandle h = e.id;
-  const std::uint32_t s = shardOf(className);
-  subShard_.emplace(h, s);
-  shards_[s]->addSubscription(std::move(e));
-  return h;
-}
-
-void CommunicationBackbone::unpublish(PublicationHandle h) {
-  const auto it = pubShard_.find(h);
-  if (it == pubShard_.end()) return;
-  shards_[it->second]->unpublish(h);
-  pubShard_.erase(it);
-}
-
-void CommunicationBackbone::unsubscribe(SubscriptionHandle h) {
-  const auto it = subShard_.find(h);
-  if (it == subShard_.end()) return;
-  shards_[it->second]->unsubscribe(h);
-  subShard_.erase(it);
-}
-
-bool CommunicationBackbone::updateAttributeValues(PublicationHandle h,
-                                                  const AttributeSet& attrs,
-                                                  double timestamp) {
-  const auto it = pubShard_.find(h);
-  if (it == pubShard_.end())
-    throw std::invalid_argument("updateAttributeValues: unknown publication");
-  CbShard& shard = *shards_[it->second];
-  return shard.update(*shard.publication(h), attrs, timestamp);
 }
 
 void CommunicationBackbone::setPublicationOverflowPolicy(
@@ -447,11 +335,6 @@ void CommunicationBackbone::setPublicationThinningExempt(PublicationHandle h,
     throw std::invalid_argument(
         "setPublicationThinningExempt: unknown handle");
   pub->thinExempt = exempt;
-}
-
-void CommunicationBackbone::setPeerSendFactor(const net::NodeAddr& peer,
-                                              double factor) {
-  for (auto& shard : shards_) shard->setPeerSendFactor(peer, factor);
 }
 
 std::optional<Reflection> CommunicationBackbone::poll(SubscriptionHandle h) {
@@ -483,7 +366,7 @@ std::vector<CbChannelHealth> CommunicationBackbone::channelHealth() const {
   std::vector<CbChannelHealth> out;
   // Publisher side in publication-id (creation) order: the tables hash,
   // but telemetry snapshots should diff stably between intervals.
-  for (const PublicationHandle h : sortedKeys(pubShard_)) {
+  for (const PublicationHandle h : sortedKeys(publications_)) {
     const PublicationEntry& pub = *findPublication(h);
     for (const OutChannel& ch : pub.channels) {
       CbChannelHealth hh;
@@ -502,12 +385,10 @@ std::vector<CbChannelHealth> CommunicationBackbone::channelHealth() const {
       out.push_back(std::move(hh));
     }
   }
-  for (const std::uint32_t cid : sortedKeys(inChannelShard_)) {
-    const CbShard& shard = *shards_[inChannelShard_.find(cid)->second];
-    const InChannel& ch = *shard.inChannel(cid);
+  for (const auto& [cid, ch] : inChannels_) {
     CbChannelHealth hh;
     hh.channelId = cid;
-    const SubscriptionEntry* sub = shard.subscription(ch.subscription);
+    const SubscriptionEntry* sub = findSubscription(ch.subscription);
     if (sub != nullptr) hh.className = sub->className;
     hh.outbound = false;
     hh.qos = ch.qos;
@@ -520,18 +401,6 @@ std::vector<CbChannelHealth> CommunicationBackbone::channelHealth() const {
     out.push_back(std::move(hh));
   }
   return out;
-}
-
-std::size_t CommunicationBackbone::sourceCount(SubscriptionHandle h) const {
-  const auto it = subShard_.find(h);
-  if (it == subShard_.end()) return 0;
-  return shards_[it->second]->sourceCount(h);
-}
-
-CbShardLoad CommunicationBackbone::shardLoad(std::uint32_t shard) const {
-  if (shard >= shards_.size())
-    throw std::out_of_range("shardLoad: no such shard");
-  return shards_[shard]->load();
 }
 
 void CommunicationBackbone::tick(double now) {
@@ -639,85 +508,55 @@ void CommunicationBackbone::dispatchMessage(CbMessage& msg,
   const auto routeStart =
       cfg_.phaseProfile ? Clock::now() : Clock::time_point{};
   switch (msg.type) {
-    // Discovery messages route by the class hash decode() stamped on
-    // them: the owning shard is a modulo away, no table scan. A message
-    // whose hash routes to a shard that does not hold the named entry is
-    // dropped there — the same fate the pre-shard CB gave mismatched
-    // class names.
     case MsgType::kSubscription:
-      shardForHash(msg.subscription.classHash)
-          .handleSubscription(msg.subscription, src, now);
+      handleSubscription(msg.subscription, src, now);
       break;
     case MsgType::kAcknowledge:
-      shardForHash(msg.acknowledge.classHash)
-          .handleAcknowledge(msg.acknowledge, src, now);
+      handleAcknowledge(msg.acknowledge, src, now);
       break;
     case MsgType::kChannelConnection:
-      shardForHash(msg.channelConnection.classHash)
-          .handleChannelConnection(msg.channelConnection, src, now);
+      handleChannelConnection(msg.channelConnection, src, now);
       break;
-    // Subscriber-side channel messages route by channel id.
-    case MsgType::kChannelAck: {
-      const auto it = inChannelShard_.find(msg.channelAck.channelId);
-      if (it != inChannelShard_.end())
-        shards_[it->second]->handleChannelAck(msg.channelAck, src, now);
+    case MsgType::kChannelAck:
+      handleChannelAck(msg.channelAck, src, now);
       break;
-    }
-    case MsgType::kUpdate: {
-      const auto it = inChannelShard_.find(msg.update.channelId);
-      if (it == inChannelShard_.end()) {
-        ++stats_.unknownChannelDrops;
-        break;
-      }
-      shards_[it->second]->handleUpdate(msg.update, src, now);
+    case MsgType::kUpdate:
+      handleUpdate(msg.update, src, now);
       break;
-    }
-    // Messages that may target either role route by the direction flag:
-    // publisher-sent ones through the channel-id index, subscriber-sent
-    // ones through the (peer, channel id) → publication index.
+    // Messages that may target either role dispatch on the direction
+    // flag: subscriber-sent ones resolve their publication through the
+    // (peer, channel id) index.
     case MsgType::kHeartbeat:
       if (msg.heartbeat.fromPublisher) {
-        const auto it = inChannelShard_.find(msg.heartbeat.channelId);
-        if (it != inChannelShard_.end())
-          shards_[it->second]->handlePublisherHeartbeat(msg.heartbeat, src,
-                                                        now);
+        handlePublisherHeartbeat(msg.heartbeat, src, now);
       } else {
         const auto it = outChannelIndex_.find({src, msg.heartbeat.channelId});
         if (it != outChannelIndex_.end())
-          shards_[it->second.first]->handleSubscriberHeartbeat(
-              it->second.second, msg.heartbeat, src, now);
+          handleSubscriberHeartbeat(it->second, msg.heartbeat, src, now);
       }
       break;
     case MsgType::kBye:
       if (msg.bye.fromPublisher) {
-        const auto it = inChannelShard_.find(msg.bye.channelId);
-        if (it != inChannelShard_.end())
-          shards_[it->second]->handlePublisherBye(msg.bye, src);
+        handlePublisherBye(msg.bye, src);
       } else {
         const auto it = outChannelIndex_.find({src, msg.bye.channelId});
         if (it != outChannelIndex_.end())
-          shards_[it->second.first]->handleSubscriberBye(it->second.second,
-                                                         msg.bye, src);
+          handleSubscriberBye(it->second, msg.bye, src);
       }
       break;
     case MsgType::kNack: {
       const auto it = outChannelIndex_.find({src, msg.nack.channelId});
       if (it != outChannelIndex_.end())
-        shards_[it->second.first]->handleNack(it->second.second, msg.nack, src,
-                                              now);
+        handleNack(it->second, msg.nack, src, now);
       break;
     }
     case MsgType::kWindowAck:
       if (msg.windowAck.fromPublisher) {
-        const auto it = inChannelShard_.find(msg.windowAck.channelId);
-        if (it != inChannelShard_.end())
-          shards_[it->second]->handlePublisherWindowAck(msg.windowAck, src,
-                                                        now);
+        handlePublisherWindowAck(msg.windowAck, src, now);
       } else {
         const auto it = outChannelIndex_.find({src, msg.windowAck.channelId});
         if (it != outChannelIndex_.end())
-          shards_[it->second.first]->handleSubscriberWindowAck(
-              it->second.second, msg.windowAck, src, now);
+          handleSubscriberWindowAck(it->second, msg.windowAck, src, now);
       }
       break;
     case MsgType::kBatch:
@@ -732,39 +571,34 @@ void CommunicationBackbone::dispatchMessage(CbMessage& msg,
 }
 
 void CommunicationBackbone::runTimers(double now) {
-  // Every phase walks a globally sorted handle snapshot and dispatches
-  // per entry into the owning shard: creation order on the wire, exactly
-  // as the pre-shard CB emitted it, whatever Config::shards says.
+  // Every phase walks handles (or channel ids) in ascending, i.e.
+  // creation, order so the wire order never depends on hash layout.
 
   // Subscription discovery broadcasts (§2.3).
-  for (const SubscriptionHandle h : sortedKeys(subShard_))
-    shards_[subShard_.find(h)->second]->subscriptionTimer(h, now);
+  for (const SubscriptionHandle h : sortedKeys(subscriptions_))
+    subscriptionTimer(h, now);
 
   // Retransmit CHANNEL_CONNECTION for channels still awaiting their ack,
   // and time out dead inbound channels. Keep-alive frames in one pass
-  // differ only in channel id, so the tick encodes at most one frame
-  // (shared across shards) and re-targets it per channel.
+  // differ only in channel id, so the tick encodes at most one frame and
+  // re-targets it per channel.
   std::vector<std::uint8_t> subHeartbeat;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> toDrop;  // cid, shard
-  for (const std::uint32_t cid : sortedKeys(inChannelShard_)) {
-    const std::uint32_t s = inChannelShard_.find(cid)->second;
-    if (shards_[s]->inChannelTimer(cid, now, subHeartbeat))
-      toDrop.emplace_back(cid, s);
-  }
-  for (const auto& [cid, s] : toDrop)
-    shards_[s]->dropTimedOutInChannel(cid, now);
+  std::vector<std::uint32_t> toDrop;
+  for (auto& [cid, ch] : inChannels_)
+    if (inChannelTimer(ch, now, subHeartbeat)) toDrop.push_back(cid);
+  for (const std::uint32_t cid : toDrop) dropTimedOutInChannel(cid, now);
 
   // Publisher keep-alives on idle channels, the reliable tail-retransmit
   // sweep, and timeout of dead subscribers.
   std::vector<std::uint8_t> pubHeartbeat;
-  for (const PublicationHandle h : sortedKeys(pubShard_))
-    shards_[pubShard_.find(h)->second]->publicationTimer(h, now, pubHeartbeat);
+  for (const PublicationHandle h : sortedKeys(publications_))
+    publicationTimer(h, now, pubHeartbeat);
 }
 
 void CommunicationBackbone::deliverMailboxes() {
   // Subscription-id order == creation order: push delivery across LPs
-  // must not depend on hash-table layout (or shard layout).
-  for (const SubscriptionHandle h : sortedKeys(subShard_)) {
+  // must not depend on hash-table layout.
+  for (const SubscriptionHandle h : sortedKeys(subscriptions_)) {
     // Re-find each time: reflect callbacks may (un)subscribe re-entrantly.
     SubscriptionEntry* sub = findSubscription(h);
     if (sub == nullptr) continue;

@@ -25,13 +25,12 @@
 //    surround view pushes 3+ attribute sets per frame, and without
 //    coalescing each one costs a datagram per channel.
 //
-// Internally the routing core is partitioned into CbShard units keyed by
-// classNameHash(className) % Config::shards (src/core/shard.hpp): table
-// lookups and discovery matching touch only the shard that owns a class,
-// while this facade keeps the public API, the transport, the coalescer,
-// id allocation, the stats block and — via globally sorted handle
-// snapshots — wire ordering, so every shard count is wire-byte-identical
-// to shards=1.
+// Like the paper's CB (§2.3), each CB keeps one publication table and one
+// subscription table, plus its inbound virtual channels; per-class handle
+// indexes make discovery matching O(entries of the class). Table
+// registration, the protocol handlers, the timers and the update fan-out
+// live in cb_routing.cpp; tick(), message dispatch and the send coalescer
+// live in cb.cpp.
 #pragma once
 
 #include <cstdint>
@@ -42,13 +41,11 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/protocol.hpp"
-#include "core/shard.hpp"
 #include "core/value.hpp"
 #include "net/reliable.hpp"
 #include "net/transport.hpp"
@@ -56,6 +53,165 @@
 #include "telemetry/trace.hpp"
 
 namespace cod::core {
+
+class CommunicationBackbone;
+
+using LpId = std::uint32_t;
+using PublicationHandle = std::uint32_t;
+using SubscriptionHandle = std::uint32_t;
+
+inline constexpr std::uint32_t kInvalidHandle = 0;
+
+/// Sentinel for "staging slot not resolved yet" in the channel structs
+/// (the slot index caches into the CB's per-peer batch table).
+inline constexpr std::uint32_t kNoBatchSlot = 0xFFFFFFFFu;
+
+/// One delivered attribute update, as seen by a subscriber.
+struct Reflection {
+  std::string className;
+  AttributeSet attrs;
+  double timestamp = 0.0;
+  std::uint64_t seq = 0;
+};
+
+/// Publisher side of one virtual channel.
+struct OutChannel {
+  std::uint32_t remoteChannelId = 0;
+  net::NodeAddr remote;
+  /// Cached index into the CB's peer-batch table for this channel's
+  /// endpoint, so the per-update fan-out stages without an address lookup.
+  std::uint32_t batchSlot = kNoBatchSlot;
+  double lastSentSec = 0.0;   // last update/heartbeat we sent
+  double lastHeardSec = 0.0;  // last heartbeat from the subscriber
+  net::QosClass qos = net::QosClass::kBestEffort;
+  /// Reliable channels: first sequence owed to this channel (fixed at
+  /// creation; re-ACKs repeat it so a lost CHANNEL_ACK cannot shift the
+  /// base) and the highest sequence the subscriber has cumulatively
+  /// acknowledged.
+  std::uint64_t firstSeq = 0;
+  std::uint64_t cumAcked = 0;
+  /// Reliable channels re-send CHANNEL_ACK until the first WINDOW_ACK
+  /// proves the subscriber knows the channel's QoS and base — without
+  /// this, a lost ack on a publisher-upgraded channel would leave the
+  /// subscriber in newest-wins mode forever (inbound data stops its own
+  /// connection retries).
+  bool windowAckSeen = false;
+  double lastAckResendSec = 0.0;
+  /// True once the subscriber provably knows this channel's QoS: from
+  /// creation when it requested it, else from its first WINDOW_ACK.
+  /// Until then a publisher-upgraded channel carries no data — a
+  /// QoS-blind subscriber would consume it newest-wins and permanently
+  /// skip whatever was lost. Frames are window-buffered meanwhile and
+  /// recovered through the normal retransmit path once confirmed.
+  bool qosConfirmed = true;
+  /// Frames re-sent on this channel (NACK-driven + tail timeout), for
+  /// the per-channel health export.
+  std::uint64_t retransmits = 0;
+  /// Highest sequence ever transmitted on this channel (0 = none).
+  /// Frames withheld while !qosConfirmed make their *first* trip
+  /// through the retransmit machinery after confirmation; this high
+  /// water mark lets those be counted as first transmissions
+  /// (dataFramesSent) instead of retransmits, keeping the
+  /// reliable-layer loss estimate unbiased under channel upgrades.
+  std::uint64_t maxSentSeq = 0;
+  /// Private send window (flow control, ReliableConfig::
+  /// perChannelWindowSplit): allocated when this channel's cumulative
+  /// ack lags the shared window by splitLagFrames for splitSustainSec,
+  /// so a laggard stops pinning frames every healthy peer already
+  /// acked. Null = serving from the publication's shared window (the
+  /// only state when the feature is off).
+  std::unique_ptr<net::ReliableSendWindow> splitRetx;
+  /// Edge timers of the split/merge decision (-1 = condition not
+  /// currently observed).
+  double lagSinceSec = -1.0;
+  double caughtUpSinceSec = -1.0;
+  /// Telemetry-closed backpressure: fraction of best-effort updates
+  /// actually sent to this peer (1 = all). Reliable channels are never
+  /// thinned — their ordering contract is protected by the overflow
+  /// policy and the window split instead. `thinDebt` accumulates
+  /// (1 - sendFactor) per update and skips one when it reaches 1, so
+  /// any factor thins evenly rather than in bursts.
+  double sendFactor = 1.0;
+  double thinDebt = 0.0;
+  /// Cumulative duplicate count last reported by this subscriber in a
+  /// WINDOW_ACK dup block (high-water mark; reports are cumulative so
+  /// a lost one heals on the next).
+  std::uint64_t dupReported = 0;
+  /// Highest publisher-side skip already advertised to this channel by
+  /// the kDegradeLatestValue eviction path (avoids re-advertising the
+  /// same skip every update).
+  std::uint64_t lastSkipAdvertised = 0;
+};
+
+/// One publication-table entry.
+struct PublicationEntry {
+  PublicationHandle id = 0;
+  LpId lp = 0;
+  std::string className;
+  net::QosClass qos = net::QosClass::kBestEffort;  // channel QoS floor
+  std::uint64_t nextSeq = 1;
+  std::vector<OutChannel> channels;
+  std::vector<SubscriptionHandle> localSubscribers;  // fast path links
+  /// Retransmit window, shared by every reliable channel of this
+  /// publication (frames differ only in the patched channel id).
+  /// Allocated on the first reliable channel.
+  std::unique_ptr<net::ReliableSendWindow> retx;
+  /// Per-publication overflow-policy override
+  /// (CommunicationBackbone::setPublicationOverflowPolicy); unset means
+  /// Config::reliable.overflowPolicy. Remembered here so a window
+  /// allocated after the override call still honors it.
+  std::optional<net::OverflowPolicy> overflowPolicy;
+  /// Exempt from per-peer backpressure thinning
+  /// (CommunicationBackbone::setPublicationThinningExempt). Control-plane
+  /// streams — telemetry above all — must keep flowing to a struggling
+  /// peer: they are how its struggle is observed and how its recovery is
+  /// detected, so thinning them would sever the very loop that thins.
+  bool thinExempt = false;
+};
+
+/// Delivery timing of the most recent sampled (trace-tagged) update
+/// released in order on a channel, waiting to be echoed to the publisher
+/// on the next WINDOW_ACK. One slot suffices: sampling is sparse (1-in-N)
+/// and a newer sample superseding an un-echoed older one just thins the
+/// sample stream, never biases it.
+struct PendingTraceEcho {
+  std::uint64_t seq = 0;
+  double tagSec = 0.0;      // publisher clock, echoed verbatim
+  double releaseSec = 0.0;  // our clock at in-order release
+};
+
+/// Subscriber side of one virtual channel.
+struct InChannel {
+  std::uint32_t channelId = 0;
+  SubscriptionHandle subscription = 0;
+  net::NodeAddr remote;
+  std::uint32_t batchSlot = kNoBatchSlot;  // see OutChannel::batchSlot
+  std::uint32_t remotePublicationId = 0;
+  bool live = false;          // CHANNEL_ACK received
+  double lastConnectSent = 0.0;
+  double lastActivity = 0.0;       // last traffic from the publisher
+  double lastHeartbeatSent = 0.0;  // our own keep-alives to the publisher
+  std::uint64_t lastSeq = 0;       // newest-wins cursor (best effort)
+  net::QosClass qos = net::QosClass::kBestEffort;
+  /// Present iff the channel is reliable: gap detection, NACK pacing
+  /// and in-order release.
+  std::unique_ptr<net::ReliableReceiveQueue> rq;
+  /// Sampled-update delivery timing owed to the publisher (see
+  /// PendingTraceEcho); rides out on the next WINDOW_ACK.
+  std::optional<PendingTraceEcho> pendingEcho;
+};
+
+/// One subscription-table entry.
+struct SubscriptionEntry {
+  SubscriptionHandle id = 0;
+  LpId lp = 0;
+  std::string className;
+  net::QosClass qos = net::QosClass::kBestEffort;  // requested per channel
+  bool everAcknowledged = false;
+  double nextBroadcast = 0.0;
+  std::deque<Reflection> mailbox;
+  std::optional<Reflection> latest;
+};
 
 /// Base class for the paper's Logical Processes. Derive, override
 /// reflectAttributeValues() (push model) and/or poll the CB (pull model),
@@ -186,12 +342,9 @@ class CommunicationBackbone {
     /// Push reflections to LogicalProcess::reflectAttributeValues on tick.
     /// (Pull via poll()/latest() works in either mode.)
     bool pushDelivery = true;
-    /// Routing shards: publication/subscription tables and discovery
-    /// matching are partitioned by classNameHash(className) % shards, so
-    /// a node carrying thousands of registrations pays per-class — not
-    /// per-table — lookup costs. Any value is wire-byte-identical to 1
-    /// (ordering is orchestrated globally); size it roughly to
-    /// expected distinct classes / 64. 0 is clamped to 1.
+    /// Ignored. The routing tables are no longer sharded; the field stays
+    /// only because the end-to-end benchmark still assigns it
+    /// (perfbench/src/mesh.cpp:275) and goes with that assignment.
     std::uint32_t shards = 1;
     /// Tunables of the kReliableOrdered channel machinery.
     net::ReliableConfig reliable;
@@ -206,11 +359,6 @@ class CommunicationBackbone {
       /// would push past this flushes early; a single frame larger than
       /// the budget bypasses the container and is sent bare.
       std::size_t byteBudget = 1200;
-      /// Latency escape hatch: flush a publication's peers immediately
-      /// after updateAttributeValues on any reliable channel, instead of
-      /// waiting for the end-of-tick flush. Costs the coalescing win on
-      /// those peers; meant for latency-critical command streams.
-      bool flushReliableUpdates = false;
       /// Adaptive mid-tick flush: once the bytes staged across ALL peers
       /// since the last flush exceed this, everything leaves immediately
       /// instead of pooling until end of tick. Bounds the burst a heavy
@@ -350,17 +498,6 @@ class CommunicationBackbone {
   std::size_t peerSlotCount() const { return batchSlots_.size(); }
   std::size_t peerSlotCapacity() const { return peerBatches_.size(); }
 
-  /// Routing shards in this CB (>= 1; Config::shards clamped).
-  std::size_t shardCount() const { return shards_.size(); }
-  /// The shard index that owns `className` (same formula every node
-  /// applies to decoded discovery messages).
-  std::uint32_t shardOf(std::string_view className) const {
-    return classNameHash(className) %
-           static_cast<std::uint32_t>(shards_.size());
-  }
-  /// Table sizes of one shard, for balance checks in tests and tooling.
-  CbShardLoad shardLoad(std::uint32_t shard) const;
-
   /// Latency/size histograms this CB maintains (the telemetry record's
   /// histogram block): delivery latency of sampled reliable updates, tick
   /// duration, flush sizes and retransmit delay.
@@ -373,8 +510,6 @@ class CommunicationBackbone {
   }
 
  private:
-  friend class CbShard;
-
   /// True while hot paths should pay for trace records.
   bool tracing() const {
     return cfg_.trace != nullptr && cfg_.trace->enabled();
@@ -388,36 +523,109 @@ class CommunicationBackbone {
   }
 
   void handleDatagram(const net::Datagram& d, double now);
-  /// Route one decoded message to the shard that owns it (sub-frames of a
-  /// kBatch container go through here individually). Discovery messages
-  /// route by their stamped class hash; channel-scoped messages through
-  /// the channel-id / (peer, channel-id) indexes.
+  /// Hand one decoded message to its handler (sub-frames of a kBatch
+  /// container go through here individually). Publisher-side channel
+  /// messages resolve their publication through outChannelIndex_.
   void dispatchMessage(CbMessage& msg, const net::NodeAddr& src, double now);
 
   void runTimers(double now);
   void deliverMailboxes();
 
-  CbShard& shardForHash(std::uint32_t classHash) {
-    return *shards_[classHash % static_cast<std::uint32_t>(shards_.size())];
-  }
-  /// Entry lookups across shards via the handle→shard indexes (null if
-  /// unknown). The non-const forms are what the public accessors use.
+  /// Table lookups (null if unknown).
   PublicationEntry* findPublication(PublicationHandle h);
   const PublicationEntry* findPublication(PublicationHandle h) const;
   SubscriptionEntry* findSubscription(SubscriptionHandle h);
   const SubscriptionEntry* findSubscription(SubscriptionHandle h) const;
 
-  /// Shard-side bookkeeping hooks: every inbound channel and every
-  /// outgoing channel endpoint is registered here so inbound traffic
-  /// routes O(log n) to its shard instead of scanning all tables.
-  void registerInChannel(std::uint32_t channelId, std::uint32_t shard);
-  void unregisterInChannel(std::uint32_t channelId);
-  void registerOutChannel(const net::NodeAddr& remote,
-                          std::uint32_t remoteChannelId, std::uint32_t shard,
-                          PublicationHandle pub);
-  void unregisterOutChannel(const net::NodeAddr& remote,
-                            std::uint32_t remoteChannelId,
-                            PublicationHandle pub);
+  // --- message handlers (called from dispatchMessage) ---
+  void handleSubscription(const SubscriptionMsg& m, const net::NodeAddr& src,
+                          double now);
+  void handleAcknowledge(const AcknowledgeMsg& m, const net::NodeAddr& src,
+                         double now);
+  void handleChannelConnection(const ChannelConnectionMsg& m,
+                               const net::NodeAddr& src, double now);
+  void handleChannelAck(const ChannelAckMsg& m, const net::NodeAddr& src,
+                        double now);
+  void handleUpdate(UpdateMsg& m, const net::NodeAddr& src, double now);
+  /// Publisher keep-alive → refresh our inbound channel.
+  void handlePublisherHeartbeat(const HeartbeatMsg& m,
+                                const net::NodeAddr& src, double now);
+  /// Subscriber keep-alive → refresh our outgoing channel on `pub`
+  /// (dispatchMessage resolved (src, channelId) → publication through
+  /// outChannelIndex_).
+  void handleSubscriberHeartbeat(PublicationHandle pub, const HeartbeatMsg& m,
+                                 const net::NodeAddr& src, double now);
+  void handlePublisherBye(const ByeMsg& m, const net::NodeAddr& src);
+  void handleSubscriberBye(PublicationHandle pub, const ByeMsg& m,
+                           const net::NodeAddr& src);
+  void handleNack(PublicationHandle pub, const NackMsg& m,
+                  const net::NodeAddr& src, double now);
+  void handlePublisherWindowAck(const WindowAckMsg& m,
+                                const net::NodeAddr& src, double now);
+  void handleSubscriberWindowAck(PublicationHandle pub, const WindowAckMsg& m,
+                                 const net::NodeAddr& src, double now);
+
+  // --- timers (runTimers drives these in handle order) ---
+  void subscriptionTimer(SubscriptionHandle h, double now);
+  /// Connection retries, NACK/ack emission and keep-alive for one inbound
+  /// channel; returns true if the channel has timed out and should drop
+  /// after the sweep. `subHeartbeat` is the tick-shared keep-alive frame
+  /// scratch (encoded lazily at most once per tick, re-patched per
+  /// channel).
+  bool inChannelTimer(InChannel& ch, double now,
+                      std::vector<std::uint8_t>& subHeartbeat);
+  void dropTimedOutInChannel(std::uint32_t channelId, double now);
+  /// ACK re-sends, keep-alives, the reliable tail-retransmit sweep and
+  /// dead-subscriber timeout for one publication.
+  void publicationTimer(PublicationHandle h, double now,
+                        std::vector<std::uint8_t>& pubHeartbeat);
+
+  void removeInChannel(std::uint32_t channelId, bool sendBye);
+  void matchLocal(PublicationEntry& pub);
+  void enqueueReflection(SubscriptionEntry& sub, Reflection r);
+  /// Decode and enqueue frames the reliable queue released in order.
+  /// Non-const: a released trace-tagged frame parks its delivery timing
+  /// in `ch.pendingEcho` for the next WINDOW_ACK.
+  void deliverReliableReady(InChannel& ch,
+                            std::vector<net::ReliableFrame>& ready);
+  /// Move `ch.pendingEcho` (if any) onto an outgoing WINDOW_ACK.
+  void attachTraceEcho(InChannel& ch, WindowAckMsg& ack, double now);
+  /// Attach this channel's cumulative duplicate count to an outgoing
+  /// WINDOW_ACK (dup block) when any duplicates have been dropped.
+  static void attachDupReport(const InChannel& ch, WindowAckMsg& ack);
+  /// The send window serving `ch`: its private split window if one
+  /// exists, else the publication's shared window.
+  static net::ReliableSendWindow* windowFor(PublicationEntry& pub,
+                                            OutChannel& ch);
+  /// Split `ch` onto a private send window seeded from the shared one
+  /// (everything above its cumulative ack), then re-compact the shared
+  /// window the laggard no longer pins.
+  void splitChannelWindow(PublicationEntry& pub, OutChannel& ch, double now);
+  /// Drop `ch`'s private window and rejoin the shared one (caller has
+  /// verified the shared window retains everything still NACKable).
+  void mergeChannelWindow(OutChannel& ch);
+  /// The split/merge decision for every reliable channel of `pub`
+  /// (ReliableConfig::perChannelWindowSplit; no-op when off).
+  void runWindowSplitTimer(PublicationEntry& pub, double now);
+  /// kDegradeLatestValue: proactively advertise publisher-side skips to
+  /// channels whose serving window evicted past their cumulative ack,
+  /// without waiting for a NACK round trip.
+  void advertiseDegradeSkips(PublicationEntry& pub);
+  /// Prune (or drop) a publication's retransmit window after acks or
+  /// channel departures.
+  void compactSendWindow(PublicationEntry& pub);
+  /// The outgoing channel `(src, remoteChannelId)` within `pub`; null if
+  /// unknown.
+  static OutChannel* findOutChannelIn(PublicationEntry& pub,
+                                      const net::NodeAddr& src,
+                                      std::uint32_t remoteChannelId);
+  static void eraseFromIndex(
+      std::unordered_map<std::string, std::vector<std::uint32_t>>& index,
+      const std::string& className, std::uint32_t handle);
+
+  /// Teardown of one outgoing channel of `pub`: unpin its staging slot
+  /// and drop its outChannelIndex_ route.
+  void releaseOutChannel(PublicationHandle pub, const OutChannel& ch);
 
   /// One frame staged for a peer, as a descriptor into the shared staging
   /// arena (`stageArena_`) rather than bytes of its own. The arena entry
@@ -512,19 +720,22 @@ class CommunicationBackbone {
 
   std::map<LpId, LogicalProcess*> lps_;
 
-  /// The routing shards (fixed at construction, >= 1) and the global
-  /// handle→shard / channel→shard indexes the dispatcher routes through.
-  /// Index keys double as the sorted-snapshot source for every
-  /// wire-order-sensitive walk, so ordering never depends on shard count.
-  std::vector<std::unique_ptr<CbShard>> shards_;
-  std::unordered_map<PublicationHandle, std::uint32_t> pubShard_;
-  std::unordered_map<SubscriptionHandle, std::uint32_t> subShard_;
-  std::unordered_map<std::uint32_t, std::uint32_t> inChannelShard_;
-  /// (subscriber endpoint, subscriber-allocated channel id) → owning
-  /// shard + publication: the publisher-side route for heartbeats, BYEs,
-  /// NACKs and window acks, replacing the old all-tables scan.
-  std::map<std::pair<net::NodeAddr, std::uint32_t>,
-           std::pair<std::uint32_t, PublicationHandle>>
+  /// Hash tables, not ordered maps: updateAttributeValues and the
+  /// reflection paths look these up per update, and nothing needs key
+  /// order (iteration-order-sensitive work walks sorted handle
+  /// snapshots).
+  std::unordered_map<PublicationHandle, PublicationEntry> publications_;
+  std::unordered_map<SubscriptionHandle, SubscriptionEntry> subscriptions_;
+  std::map<std::uint32_t, InChannel> inChannels_;  // keyed by channelId
+
+  /// Per-class handle lists (creation order — handles ascend), so
+  /// discovery matching is O(entries of the class).
+  std::unordered_map<std::string, std::vector<PublicationHandle>> pubsByClass_;
+  std::unordered_map<std::string, std::vector<SubscriptionHandle>> subsByClass_;
+  /// (subscriber endpoint, subscriber-allocated channel id) → publication:
+  /// the publisher-side route for heartbeats, BYEs, NACKs and window acks,
+  /// instead of a scan over every publication's channels.
+  std::map<std::pair<net::NodeAddr, std::uint32_t>, PublicationHandle>
       outChannelIndex_;
 
   std::vector<PeerBatch> peerBatches_;

@@ -87,7 +87,7 @@ constexpr std::array kCounterFields{
 #undef COD_COUNTER
 
 constexpr std::uint8_t kFlagDelta = 0x01;
-/// The tick-phase block is present (appended after the shard-load block).
+/// The tick-phase block is present (appended after the histogram block).
 constexpr std::uint8_t kFlagPhases = 0x02;
 
 /// Channel flags byte: direction, QoS and liveness packed together.
@@ -229,37 +229,6 @@ bool decodePhases(net::WireReader& r, NodeTelemetry& t,
   return true;
 }
 
-// ---- shard-load block ----------------------------------------------------
-
-void encodeShardLoad(net::WireWriter& w, const NodeTelemetry& t) {
-  w.u16(static_cast<std::uint16_t>(
-      std::min<std::size_t>(t.shardLoad.size(), 0xFFFF)));
-  std::size_t n = 0;
-  for (const core::CbShardLoad& l : t.shardLoad) {
-    if (n++ == 0xFFFF) break;
-    w.u32(static_cast<std::uint32_t>(l.publications));
-    w.u32(static_cast<std::uint32_t>(l.subscriptions));
-    w.u32(static_cast<std::uint32_t>(l.inChannels));
-    w.u32(static_cast<std::uint32_t>(l.outChannels));
-  }
-}
-
-bool decodeShardLoad(net::WireReader& r, NodeTelemetry& t) {
-  const auto count = r.u16();
-  if (!count) return false;
-  t.shardLoad.clear();
-  t.shardLoad.reserve(*count);
-  for (std::uint16_t i = 0; i < *count; ++i) {
-    const auto pubs = r.u32();
-    const auto subs = r.u32();
-    const auto inCh = r.u32();
-    const auto outCh = r.u32();
-    if (!pubs || !subs || !inCh || !outCh) return false;
-    t.shardLoad.push_back(core::CbShardLoad{*pubs, *subs, *inCh, *outCh});
-  }
-  return true;
-}
-
 bool decodeChannels(net::WireReader& r, NodeTelemetry& t) {
   const auto count = r.u16();
   if (!count) return false;
@@ -346,7 +315,6 @@ std::vector<std::uint8_t> encodeTelemetry(const NodeTelemetry& t) {
     w.u64(counterValue(t, i));
   encodeChannels(w, t);
   encodeHistograms(w, t, nullptr);
-  encodeShardLoad(w, t);
   if (t.phaseProfiling) encodePhases(w, t, nullptr);
   return w.take();
 }
@@ -367,7 +335,6 @@ std::vector<std::uint8_t> encodeTelemetryDelta(const NodeTelemetry& t,
   }
   encodeChannels(w, t);
   encodeHistograms(w, t, &base);
-  encodeShardLoad(w, t);
   if (t.phaseProfiling) encodePhases(w, t, &base);
   return w.take();
 }
@@ -422,7 +389,6 @@ std::optional<NodeTelemetry> decodeTelemetry(
 
   if (!decodeChannels(r, t)) return std::nullopt;
   if (!decodeHistograms(r, t, delta ? base : nullptr)) return std::nullopt;
-  if (!decodeShardLoad(r, t)) return std::nullopt;
   if ((flags & kFlagPhases) != 0) {
     t.phaseProfiling = true;
     if (!decodePhases(r, t, delta ? base : nullptr)) return std::nullopt;

@@ -37,10 +37,9 @@ namespace cod::telemetry {
 /// Wire-format version, first byte of every record. Decoders accept this
 /// value only, so a mixed-version cluster or an old archive fails loudly
 /// instead of misinterpreting counters; docs/WIRE.md keeps the history of
-/// versions 1-6. The second byte is a flag set (0x01 delta, 0x02 phase
-/// block present); any other bit is rejected. Without the phase block a
-/// record is as long as a v4 record of the same snapshot.
-inline constexpr std::uint8_t kTelemetryVersion = 7;
+/// versions 1-7. The second byte is a flag set (0x01 delta, 0x02 phase
+/// block present); any other bit is rejected.
+inline constexpr std::uint8_t kTelemetryVersion = 8;
 
 /// Reserved object class the publishers publish on and monitors subscribe
 /// to — "cod." prefixed so no simulator module class can collide.
@@ -62,10 +61,6 @@ struct NodeTelemetry {
   /// (names from CbHistograms::name()). Monitors diff consecutive
   /// snapshots to derive interval percentiles.
   std::array<HistogramSnapshot, CbHistograms::kCount> hists{};
-  /// Per-shard routing-table sizes, for the shard-balance line in the
-  /// cluster-health table. Always encoded in full (it is tiny and its
-  /// shape — the shard count — must not be guessed from a diff).
-  std::vector<core::CbShardLoad> shardLoad;
   /// True when this node runs the tick-phase profiler: `phases` is
   /// meaningful and the record carries the flagged phase block. False
   /// leaves the block (and its flag) out.

@@ -389,6 +389,67 @@ TEST_F(WireFixture, ReceivesBatchedAndBareFramesAlike) {
   EXPECT_EQ(cb->stats().malformedDrops, 0u);
 }
 
+/// Subscriber-side channel frames are accepted only from the channel's own
+/// publisher. Channel ids restart at 1 when a subscriber restarts at the
+/// same address, so a stale publisher still sending on an old id must not
+/// feed its payload or its sequence base into the new channel that reused
+/// that id — whether or not the new channel is live yet.
+TEST_F(WireFixture, ChannelFramesFromAnotherAddressAreDropped) {
+  LogicalProcess sub{"sub"};
+  cb->attach(sub);
+  const SubscriptionHandle s = cb->subscribeObjectClass(
+      sub, "far.cls", net::QosClass::kReliableOrdered);
+  transport->inject(sub1, encode(AcknowledgeMsg{s, 40, "far.cls"}));
+  cb->tick(0.0);
+  const net::NodeAddr stale{30, 1};
+  const auto staleAck =
+      encode(ChannelAckMsg{1, 41, net::QosClass::kReliableOrdered, 5});
+  UpdateMsg u;
+  u.channelId = 1;  // the channel just opened to sub1
+  u.seq = 5;
+  u.timestamp = 0.5;
+  u.payload = sampleAttrs().encode();
+  const auto inbound = [&] {
+    for (const CbChannelHealth& c : cb->channelHealth())
+      if (!c.outbound && c.channelId == 1) return c;
+    ADD_FAILURE() << "inbound channel 1 missing";
+    return CbChannelHealth{};
+  };
+
+  // Before the real CHANNEL_ACK: the stale ack must not make the channel
+  // live or set its base, and the stale update must not be delivered.
+  transport->inject(stale, staleAck);
+  transport->inject(stale, encode(u));
+  cb->tick(0.01);
+  EXPECT_EQ(cb->stats().unknownChannelDrops, 2u);
+  EXPECT_EQ(cb->stats().updatesDelivered, 0u);
+  EXPECT_EQ(cb->latest(s), nullptr);
+  EXPECT_FALSE(inbound().live);
+  EXPECT_EQ(inbound().cumAcked, 0u);
+
+  // The real publisher confirms with base 1; the same frames from the
+  // stale address still change nothing on the now-live channel.
+  transport->inject(
+      sub1, encode(ChannelAckMsg{1, 40, net::QosClass::kReliableOrdered, 1}));
+  cb->tick(0.02);
+  ASSERT_TRUE(inbound().live);
+  u.seq = 1;
+  transport->inject(stale, staleAck);
+  transport->inject(stale, encode(u));
+  cb->tick(0.03);
+  EXPECT_EQ(cb->stats().unknownChannelDrops, 4u);
+  EXPECT_EQ(cb->stats().updatesDelivered, 0u);
+  EXPECT_TRUE(inbound().live);
+  EXPECT_EQ(inbound().cumAcked, 0u);
+
+  // The channel's own publisher is still heard.
+  transport->inject(sub1, encode(u));
+  cb->tick(0.04);
+  EXPECT_EQ(cb->stats().updatesDelivered, 1u);
+  EXPECT_EQ(inbound().cumAcked, 1u);
+  EXPECT_EQ(cb->stats().unknownChannelDrops, 4u);
+}
+
 /// Corrupt containers are dropped without crashing AND without side
 /// effects: truncated mid-frame, lying counts, trailing garbage, nested
 /// batches, zero-length sub-frames, empty containers. Sub-frames ahead of

@@ -557,8 +557,6 @@ telemetry::NodeTelemetry sampleTelemetry() {
     s.buckets[3] = 20 + h;
     s.buckets[40 + h] = 30 + h;
   }
-  t.shardLoad.push_back(core::CbShardLoad{3, 4, 5, 6});
-  t.shardLoad.push_back(core::CbShardLoad{1, 0, 2, 0});
   return t;
 }
 
@@ -585,13 +583,6 @@ void expectTelemetryEq(const telemetry::NodeTelemetry& a,
   }
   for (std::size_t i = 0; i < telemetry::CbHistograms::kCount; ++i)
     EXPECT_EQ(a.hists[i], b.hists[i]) << telemetry::CbHistograms::name(i);
-  ASSERT_EQ(a.shardLoad.size(), b.shardLoad.size());
-  for (std::size_t i = 0; i < a.shardLoad.size(); ++i) {
-    EXPECT_EQ(a.shardLoad[i].publications, b.shardLoad[i].publications);
-    EXPECT_EQ(a.shardLoad[i].subscriptions, b.shardLoad[i].subscriptions);
-    EXPECT_EQ(a.shardLoad[i].inChannels, b.shardLoad[i].inChannels);
-    EXPECT_EQ(a.shardLoad[i].outChannels, b.shardLoad[i].outChannels);
-  }
 }
 
 TEST(TelemetryWire, KeyframeRoundTrips) {
@@ -621,7 +612,6 @@ TEST(TelemetryWire, DeltaRoundTripsAgainstKeyframe) {
   next.hists[0].count += 4;
   next.hists[0].sum += 0.25;
   next.hists[0].buckets[3] += 4;
-  next.shardLoad[1].inChannels = 9;
   const auto bytes = telemetry::encodeTelemetryDelta(next, base);
   // Deltas only carry changed counters: much smaller than a keyframe.
   EXPECT_LT(bytes.size(), telemetry::encodeTelemetry(next).size() / 2);
@@ -793,13 +783,13 @@ telemetry::NodeTelemetry samplePhasedTelemetry() {
   return t;
 }
 
-TEST(TelemetryWire, PhaselessKeyframeKeepsV4Length) {
-  // A record without the phase block is as long as the v4 record of the
-  // same snapshot (794 bytes for sampleTelemetry()), so profiler-off
-  // clusters send the same telemetry bytes on the LAN as before. The
-  // phase block is appended after every other block, never inserted.
+TEST(TelemetryWire, PhaselessKeyframeKeepsV8Length) {
+  // A v8 record without the phase block is 760 bytes for
+  // sampleTelemetry(): header, counters, channels and histograms, nothing
+  // else. The phase block is appended after every other block, never
+  // inserted.
   const auto plain = telemetry::encodeTelemetry(sampleTelemetry());
-  EXPECT_EQ(plain.size(), 794u);
+  EXPECT_EQ(plain.size(), 760u);
   EXPECT_EQ(plain[0], telemetry::kTelemetryVersion);
   EXPECT_EQ(plain[1], 0);
   auto phasedT = sampleTelemetry();
@@ -858,11 +848,11 @@ TEST(TelemetryWire, PhaseBlockWithoutFlagRejected) {
 }
 
 TEST(TelemetryWire, RetiredVersionBytesRejected) {
-  // v4, v5 and v6 records must fail loudly, from the header peek as well
-  // as the full decode, rather than parse as the current layout.
+  // v4 to v7 records must fail loudly, from the header peek as well as
+  // the full decode, rather than parse as the current layout.
   const auto good = telemetry::encodeTelemetry(sampleTelemetry());
   ASSERT_TRUE(telemetry::peekTelemetryHeader(good).has_value());
-  for (const std::uint8_t version : {4, 5, 6}) {
+  for (const std::uint8_t version : {4, 5, 6, 7}) {
     auto bytes = good;
     bytes[0] = version;
     EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value())
